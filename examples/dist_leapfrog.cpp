@@ -43,7 +43,8 @@ int main() {
 
   // One persistent DistSolver for the whole integration: the rank team,
   // the per-rank engines, and their device state survive across steps.
-  // Fields need the CPU engine (the GpuSim engine is potential-only).
+  // The CPU engine here; Backend::kGpuSim gives the same field bits plus
+  // the modeled device cost.
   dist::DistConfig config;
   config.kernel = KernelSpec::coulomb();
   config.params.treecode.theta = 0.6;

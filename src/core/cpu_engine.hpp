@@ -35,7 +35,6 @@ class CpuEngine final : public Engine {
  public:
   Backend backend() const override { return Backend::kCpu; }
   bool supports_per_target_mac() const override { return true; }
-  bool supports_fields() const override { return true; }
 
   void prepare_sources(const SourcePlan& plan, const TreecodeParams& params,
                        bool charges_only) override;

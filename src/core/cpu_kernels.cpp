@@ -396,6 +396,103 @@ void dual_transfer_apply(const double* __restrict parent,
 
 namespace {
 
+/// Self-mode dual traversal: slab budget (doubles per component) of one
+/// block of leaf groups. Bounding it keeps the mirror slabs cache-resident
+/// and their memory independent of the lists' size.
+inline constexpr std::size_t kMirrorBlockDoubles = std::size_t{1} << 18;
+
+/// Whether leaf pair `pair` of group `g` is a symmetric off-diagonal direct
+/// pair, i.e. one with a mirror (source-side) half.
+bool has_mirror(const DualInteractionLists& lists, std::size_t g,
+                const DualPair& pair) {
+  return lists.self && pair.kind == DualKind::kDirect &&
+         pair.source != lists.leaf_nodes[g];
+}
+
+/// Plan the mirror slabs of the next block of leaf groups [gb, ge): the
+/// longest run of groups from `gb` whose slabs fit kMirrorBlockDoubles (at
+/// least one group). Each mirror pair e gets its own zeroed slab at
+/// `mirror.slab[e]`, so no two tasks share an accumulator, and `order`
+/// lists the block's mirror pairs by source node, ascending within a
+/// source. Block boundaries depend only on the lists, so the reduction
+/// order is the same at every thread count. Returns ge.
+std::size_t plan_mirror_block(const DualInteractionLists& lists,
+                              const ClusterTree& stree, std::size_t gb,
+                              bool field, CpuWorkspace::DualMirror& mirror) {
+  const std::size_t nleaf = lists.leaf_nodes.size();
+  mirror.group.assign(stree.num_nodes() + 1, 0);
+  std::size_t slabs = 0;
+  std::size_t ge = gb;
+  for (; ge < nleaf; ++ge) {
+    std::size_t need = 0;
+    for (std::size_t e = lists.leaf_offsets[ge];
+         e < lists.leaf_offsets[ge + 1]; ++e) {
+      const DualPair& pair = lists.leaf_pairs[e];
+      if (has_mirror(lists, ge, pair)) need += stree.node(pair.source).count();
+    }
+    if (ge > gb && slabs + need > kMirrorBlockDoubles) break;
+    for (std::size_t e = lists.leaf_offsets[ge];
+         e < lists.leaf_offsets[ge + 1]; ++e) {
+      const DualPair& pair = lists.leaf_pairs[e];
+      if (!has_mirror(lists, ge, pair)) continue;
+      mirror.slab[e] = slabs;
+      slabs += stree.node(pair.source).count();
+      ++mirror.group[static_cast<std::size_t>(pair.source) + 1];
+    }
+  }
+  mirror.sources.clear();
+  for (std::size_t s = 0; s + 1 < mirror.group.size(); ++s) {
+    if (mirror.group[s + 1] > 0) mirror.sources.push_back(static_cast<int>(s));
+    mirror.group[s + 1] += mirror.group[s];
+  }
+  // Counting sort by source node; ascending pair index within a source.
+  mirror.order.resize(mirror.group.back());
+  std::vector<std::size_t> fill(mirror.group.begin(), mirror.group.end() - 1);
+  for (std::size_t g = gb; g < ge; ++g) {
+    for (std::size_t e = lists.leaf_offsets[g]; e < lists.leaf_offsets[g + 1];
+         ++e) {
+      const DualPair& pair = lists.leaf_pairs[e];
+      if (!has_mirror(lists, g, pair)) continue;
+      mirror.order[fill[static_cast<std::size_t>(pair.source)]++] = e;
+    }
+  }
+  mirror.phi.assign(slabs, 0.0);
+  if (field) {
+    mirror.ex.assign(slabs, 0.0);
+    mirror.ey.assign(slabs, 0.0);
+    mirror.ez.assign(slabs, 0.0);
+  }
+  return ge;
+}
+
+/// Sum a block's mirror slabs into the outputs: every source leaf adds its
+/// pairs' slabs in pair order. Direct pairs join leaves, so the source
+/// ranges are disjoint and the loop is race-free.
+template <bool Field>
+void reduce_mirror_block(const ClusterTree& stree,
+                         const CpuWorkspace::DualMirror& mirror,
+                         double* __restrict phi, double* __restrict ex,
+                         double* __restrict ey, double* __restrict ez) {
+  const std::size_t nsources = mirror.sources.size();
+#pragma omp parallel for schedule(dynamic)
+  for (std::size_t i = 0; i < nsources; ++i) {
+    const int s = mirror.sources[i];
+    const ClusterNode& node = stree.node(s);
+    const std::size_t si = static_cast<std::size_t>(s);
+    for (std::size_t k = mirror.group[si]; k < mirror.group[si + 1]; ++k) {
+      const std::size_t slab = mirror.slab[mirror.order[k]];
+      for (std::size_t j = 0; j < node.count(); ++j) {
+        phi[node.begin + j] += mirror.phi[slab + j];
+        if constexpr (Field) {
+          ex[node.begin + j] += mirror.ex[slab + j];
+          ey[node.begin + j] += mirror.ey[slab + j];
+          ez[node.begin + j] += mirror.ez[slab + j];
+        }
+      }
+    }
+  }
+}
+
 /// The dual-traversal driver behind cpu_evaluate_dual{,_field}: CC/CP onto
 /// target grids (parallel over disjoint grid groups), downward pass, then
 /// PC/direct per target leaf (parallel over disjoint particle ranges).
@@ -643,128 +740,120 @@ void run_dual(const OrderedParticles& targets, const ClusterTree& ttree,
   // --- Phase 4: PC/direct pairs straight onto target particles, grouped by
   // target leaf (disjoint ranges; race-free in parallel). In self mode,
   // direct pairs are symmetric: the target-side writes stay group-local,
-  // the source-side (mirror) writes go to per-thread accumulators reduced
-  // below — the one place the accumulation order depends on scheduling.
-  if (lists.self) {
-    for (std::size_t t = 0; t < ws.num_scratch(); ++t) {
-      ws.scratch_at(t).ensure_mirror(targets.size(), Field);
-    }
-  }
+  // the source-side (mirror) writes go to one slab per pair, and the leaf
+  // groups run in blocks whose slabs are summed after each block in a
+  // fixed order (see plan_mirror_block).
+  auto& mirror = ws.mirror();
+  if (lists.self) mirror.slab.resize(lists.leaf_pairs.size());
   const std::size_t nleaf = lists.leaf_nodes.size();
+  for (std::size_t gb = 0; gb < nleaf;) {
+    const std::size_t ge =
+        lists.self ? plan_mirror_block(lists, stree, gb, Field, mirror)
+                   : nleaf;
 #pragma omp parallel for schedule(guided) \
     reduction(+ : approx_evals, direct_evals, fp32_evals, approx_launches, \
                   direct_launches)
-  for (std::size_t g = 0; g < nleaf; ++g) {
-    const ClusterNode& node = ttree.node(lists.leaf_nodes[g]);
-    const std::size_t begin = node.begin;
-    const std::size_t end = node.end;
-    const double count = static_cast<double>(end - begin);
-    CpuScratch& scratch = ws.scratch();
-    const double* tx = targets.x.data();
-    const double* ty = targets.y.data();
-    const double* tz = targets.z.data();
-    // Self mode: target and source orders are identical, but only the
-    // *source* particles see update_charges — the target plan caches the
-    // coordinates+charges it was planned with. The symmetric paths read
-    // the target-side charges from the live source array.
-    const double* tq = lists.self ? sources.q.data() : targets.q.data();
+    for (std::size_t g = gb; g < ge; ++g) {
+      const ClusterNode& node = ttree.node(lists.leaf_nodes[g]);
+      const std::size_t begin = node.begin;
+      const std::size_t end = node.end;
+      const double count = static_cast<double>(end - begin);
+      CpuScratch& scratch = ws.scratch();
+      const double* tx = targets.x.data();
+      const double* ty = targets.y.data();
+      const double* tz = targets.z.data();
+      // Self mode: target and source orders are identical, but only the
+      // *source* particles see update_charges — the target plan caches the
+      // coordinates+charges it was planned with. The symmetric paths read
+      // the target-side charges from the live source array.
+      const double* tq = lists.self ? sources.q.data() : targets.q.data();
 
-    for (std::size_t e = lists.leaf_offsets[g]; e < lists.leaf_offsets[g + 1];
-         ++e) {
-      const DualPair& pair = lists.leaf_pairs[e];
-      if (pair.kind == DualKind::kPC) {
-        if (have_shadow && pair.fp32 != 0) {
-          const std::size_t npts = expand_cluster_points_f32(
-              mlevels[pair.level], *shadow, pair.level, pair.source, scratch,
-              resolve_pair_shift(shifts, pair));
+      for (std::size_t e = lists.leaf_offsets[g]; e < lists.leaf_offsets[g + 1];
+           ++e) {
+        const DualPair& pair = lists.leaf_pairs[e];
+        if (pair.kind == DualKind::kPC) {
+          if (have_shadow && pair.fp32 != 0) {
+            const std::size_t npts = expand_cluster_points_f32(
+                mlevels[pair.level], *shadow, pair.level, pair.source, scratch,
+                resolve_pair_shift(shifts, pair));
+            for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
+              const std::size_t nt = std::min(kTargetTile, end - t0);
+              accumulate_tile_f32<Field, true>(
+                  tx + t0, ty + t0, tz + t0, nt, scratch.fpx.data(),
+                  scratch.fpy.data(), scratch.fpz.data(), scratch.fpq.data(),
+                  npts, k, phi + t0, Field ? ex + t0 : nullptr,
+                  Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr);
+            }
+            approx_evals += count * static_cast<double>(npts);
+            fp32_evals += count * static_cast<double>(npts);
+            ++approx_launches;
+            continue;
+          }
+          const std::size_t npts = expand_cluster_points(
+              mlevels[pair.level], pair.source, scratch,
+              static_cast<int>(pair.level), resolve_pair_shift(shifts, pair));
           for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
             const std::size_t nt = std::min(kTargetTile, end - t0);
-            accumulate_tile_f32<Field, true>(
-                tx + t0, ty + t0, tz + t0, nt, scratch.fpx.data(),
-                scratch.fpy.data(), scratch.fpz.data(), scratch.fpq.data(),
-                npts, k, phi + t0, Field ? ex + t0 : nullptr,
+            accumulate_tile<Field, true>(
+                tx + t0, ty + t0, tz + t0, nt, scratch.px.data(),
+                scratch.py.data(), scratch.pz.data(), scratch.pq.data(), npts,
+                k, phi + t0, Field ? ex + t0 : nullptr,
                 Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr);
           }
           approx_evals += count * static_cast<double>(npts);
-          fp32_evals += count * static_cast<double>(npts);
           ++approx_launches;
-          continue;
-        }
-        const std::size_t npts = expand_cluster_points(
-            mlevels[pair.level], pair.source, scratch,
-            static_cast<int>(pair.level), resolve_pair_shift(shifts, pair));
-        for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
-          const std::size_t nt = std::min(kTargetTile, end - t0);
-          accumulate_tile<Field, true>(
-              tx + t0, ty + t0, tz + t0, nt, scratch.px.data(),
-              scratch.py.data(), scratch.pz.data(), scratch.pq.data(), npts,
-              k, phi + t0, Field ? ex + t0 : nullptr,
-              Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr);
-        }
-        approx_evals += count * static_cast<double>(npts);
-        ++approx_launches;
-      } else if (!lists.self) {  // one-directional direct
-        const ClusterNode& s = stree.node(pair.source);
-        const DirectStream src =
-            direct_stream(sources, s.begin, s.count(),
-                          resolve_pair_shift(shifts, pair), scratch);
-        for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
-          const std::size_t nt = std::min(kTargetTile, end - t0);
-          accumulate_tile<Field, true>(
-              tx + t0, ty + t0, tz + t0, nt, src.x, src.y, src.z, src.q,
-              s.count(), k, phi + t0, Field ? ex + t0 : nullptr,
-              Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr);
-        }
-        direct_evals += count * static_cast<double>(s.count());
-        ++direct_launches;
-      } else if (pair.source == lists.leaf_nodes[g]) {
-        // Diagonal self-pair: triangular sum within the leaf.
-        accumulate_range_self<Field>(
-            tx + begin, ty + begin, tz + begin, tq + begin, end - begin, k,
-            phi + begin, Field ? ex + begin : nullptr,
-            Field ? ey + begin : nullptr, Field ? ez + begin : nullptr);
-        direct_evals += count * (count - 1.0) / 2.0;
-        ++direct_launches;
-      } else {
-        // Symmetric off-diagonal direct: each G feeds both leaves.
-        const ClusterNode& s = stree.node(pair.source);
-        for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
-          const std::size_t nt = std::min(kTargetTile, end - t0);
-          accumulate_tile_mutual<Field>(
-              tx + t0, ty + t0, tz + t0, tq + t0, nt,
-              sources.x.data() + s.begin, sources.y.data() + s.begin,
-              sources.z.data() + s.begin, sources.q.data() + s.begin,
-              s.count(), k, phi + t0, Field ? ex + t0 : nullptr,
-              Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr,
-              scratch.mphi.data() + s.begin,
-              Field ? scratch.mex.data() + s.begin : nullptr,
-              Field ? scratch.mey.data() + s.begin : nullptr,
-              Field ? scratch.mez.data() + s.begin : nullptr);
-        }
-        direct_evals += count * static_cast<double>(s.count());
-        ++direct_launches;
-      }
-    }
-  }
-
-  // Mirror reduction (self mode): fold every thread's source-side
-  // accumulators into the outputs.
-  if (lists.self) {
-    const std::size_t n = targets.size();
-    const std::size_t nth = ws.num_scratch();
-#pragma omp parallel for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t t = 0; t < nth; ++t) {
-        CpuScratch& s = ws.scratch_at(t);
-        phi[i] += s.mphi[i];
-        if constexpr (Field) {
-          ex[i] += s.mex[i];
-          ey[i] += s.mey[i];
-          ez[i] += s.mez[i];
+        } else if (!lists.self) {  // one-directional direct
+          const ClusterNode& s = stree.node(pair.source);
+          const DirectStream src =
+              direct_stream(sources, s.begin, s.count(),
+                            resolve_pair_shift(shifts, pair), scratch);
+          for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
+            const std::size_t nt = std::min(kTargetTile, end - t0);
+            accumulate_tile<Field, true>(
+                tx + t0, ty + t0, tz + t0, nt, src.x, src.y, src.z, src.q,
+                s.count(), k, phi + t0, Field ? ex + t0 : nullptr,
+                Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr);
+          }
+          direct_evals += count * static_cast<double>(s.count());
+          ++direct_launches;
+        } else if (pair.source == lists.leaf_nodes[g]) {
+          // Diagonal self-pair: triangular sum within the leaf.
+          accumulate_range_self<Field>(
+              tx + begin, ty + begin, tz + begin, tq + begin, end - begin, k,
+              phi + begin, Field ? ex + begin : nullptr,
+              Field ? ey + begin : nullptr, Field ? ez + begin : nullptr);
+          direct_evals += count * (count - 1.0) / 2.0;
+          ++direct_launches;
+        } else {
+          // Symmetric off-diagonal direct: each G feeds both leaves, the
+          // source side through this pair's own mirror slab.
+          const ClusterNode& s = stree.node(pair.source);
+          const std::size_t slab = mirror.slab[e];
+          for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
+            const std::size_t nt = std::min(kTargetTile, end - t0);
+            accumulate_tile_mutual<Field>(
+                tx + t0, ty + t0, tz + t0, tq + t0, nt,
+                sources.x.data() + s.begin, sources.y.data() + s.begin,
+                sources.z.data() + s.begin, sources.q.data() + s.begin,
+                s.count(), k, phi + t0, Field ? ex + t0 : nullptr,
+                Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr,
+                mirror.phi.data() + slab,
+                Field ? mirror.ex.data() + slab : nullptr,
+                Field ? mirror.ey.data() + slab : nullptr,
+                Field ? mirror.ez.data() + slab : nullptr);
+          }
+          direct_evals += count * static_cast<double>(s.count());
+          ++direct_launches;
         }
       }
     }
+    if (lists.self) {
+      reduce_mirror_block<Field>(stree, mirror, phi, ex, ey, ez);
+    }
+    gb = ge;
   }
+  // The slabs are per-evaluation scratch: a held handle keeps none.
+  if (lists.self) mirror = {};
 
   if (counters != nullptr) {
     counters->approx_evals = approx_evals;

@@ -112,21 +112,6 @@ struct CpuScratch {
   int cached_target = -1;
   int cached_target_level = 0;
 
-  /// Self-mode dual traversal: per-thread mirror accumulators for the
-  /// source-side writes of symmetric direct pairs (the mirror leaf belongs
-  /// to another thread's group, so it cannot be written directly). Reduced
-  /// into the output arrays after the leaf phase.
-  AlignedVector mphi, mex, mey, mez;
-
-  void ensure_mirror(std::size_t n, bool field) {
-    mphi.assign(n, 0.0);
-    if (field) {
-      mex.assign(n, 0.0);
-      mey.assign(n, 0.0);
-      mez.assign(n, 0.0);
-    }
-  }
-
   void ensure(std::size_t n) {
     if (px.size() < n) {
       px.resize(n);
@@ -166,10 +151,6 @@ class CpuWorkspace {
   /// Calling thread's scratch entry (valid inside the parallel region).
   CpuScratch& scratch();
 
-  /// Scratch-table iteration (mirror-buffer setup and reduction).
-  std::size_t num_scratch() const { return per_thread_.size(); }
-  CpuScratch& scratch_at(std::size_t i) { return per_thread_[i]; }
-
   std::vector<std::size_t>& order() { return order_; }
   std::vector<double>& cost() { return cost_; }
 
@@ -182,11 +163,29 @@ class CpuWorkspace {
   };
   DualHats& hats() { return hats_; }
 
+  /// Self-mode dual traversal: the source-side (mirror) halves of symmetric
+  /// direct pairs, for one block of leaf groups. Each off-diagonal direct
+  /// pair writes into its own slab (sized to its source leaf, at
+  /// `slab[pair]`), so no two tasks share an accumulator; after the block
+  /// the slabs are summed into the outputs per source leaf in list order
+  /// (`order[group[s] .. group[s + 1])` holds the block's pairs whose
+  /// source is node s, ascending; `sources` lists those nodes) — a fixed
+  /// reduction order, whichever thread ran which pair.
+  struct DualMirror {
+    std::vector<std::size_t> slab;
+    std::vector<std::size_t> order;
+    std::vector<std::size_t> group;
+    std::vector<int> sources;
+    AlignedVector phi, ex, ey, ez;
+  };
+  DualMirror& mirror() { return mirror_; }
+
  private:
   std::vector<CpuScratch> per_thread_;
   std::vector<std::size_t> order_;  ///< cost-sorted list execution order
   std::vector<double> cost_;        ///< per-list work estimate
   DualHats hats_;
+  DualMirror mirror_;
 };
 
 /// ISA-specific tile kernels. The primary template reports "none"; opt-in

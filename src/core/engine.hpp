@@ -37,9 +37,10 @@ namespace mesh {
 class MeshPlan;  // FFT far field of the Ewald split (src/mesh/mesh.hpp)
 }  // namespace mesh
 
-/// Operation counters shared by the engines; these feed the performance
-/// model (evals are G(x,y) evaluations; the approximation counts one eval
-/// per target-Chebyshev-point pair because Eq. 11 has direct-sum form).
+/// Operation counters of the host evaluation paths, reported through
+/// RunStats by both engines (evals are G(x,y) evaluations; the
+/// approximation counts one eval per target-Chebyshev-point pair because
+/// Eq. 11 has direct-sum form).
 struct EngineCounters {
   double direct_evals = 0.0;
   double approx_evals = 0.0;  ///< particle-cluster (Eq. 11) evaluations
@@ -116,9 +117,6 @@ class Engine {
   /// Whether the engine can execute per-target-MAC interaction lists
   /// (the GPU engine batches by construction and cannot).
   virtual bool supports_per_target_mac() const = 0;
-
-  /// Whether evaluate_field is implemented.
-  virtual bool supports_fields() const = 0;
 
   /// Build (or refresh) source-side state for the engine-owned piece of
   /// `plan`: modified charges, and on device engines the device-resident
@@ -208,8 +206,7 @@ class Engine {
 
   /// Evaluate potential + field (E = -grad phi) at the planned targets, in
   /// tree order, over the same pieces as evaluate_potential and under the
-  /// same re-entrancy contract. Throws std::invalid_argument when
-  /// unsupported.
+  /// same re-entrancy contract.
   virtual FieldResult evaluate_field(const SourcePlan& sources,
                                      const TargetPlan& targets,
                                      const KernelSpec& kernel,

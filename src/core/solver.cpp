@@ -312,13 +312,6 @@ std::vector<double> Solver::evaluate(const Cloud& targets, RunStats* stats) {
 }
 
 FieldResult Solver::evaluate_field(const Cloud& targets, RunStats* stats) {
-  // Reject before any target planning: the failing case may not consume
-  // the pending phase accounting or burn list-build work.
-  if (!engine_->supports_fields()) {
-    throw std::invalid_argument(
-        "field evaluation is implemented on the CPU engine only; use "
-        "Backend::kCpu");
-  }
   RunStats local;
   bool fresh_targets = false;
   if (!begin_evaluation(targets, local, fresh_targets)) {

@@ -232,7 +232,7 @@ class Solver {
                                RunStats* stats = nullptr);
 
   /// Compute potentials and fields E = -grad phi at `targets`, sharing the
-  /// same cached plan as `evaluate` (both MAC modes). CPU backend only.
+  /// same cached plan as `evaluate` (both MAC modes), on either backend.
   FieldResult evaluate_field(const Cloud& targets, RunStats* stats = nullptr);
 
  private:

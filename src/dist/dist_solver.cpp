@@ -627,11 +627,6 @@ FieldResult DistSolver::evaluate_field(DistStats* stats) {
     throw std::logic_error("DistSolver::evaluate_field: call set_sources "
                            "first");
   }
-  if (!ranks_.front()->engine->supports_fields()) {
-    throw std::invalid_argument(
-        "distributed field evaluation requires an engine that supports "
-        "fields; the GpuSim engine is potential-only — use Backend::kCpu");
-  }
   DistStats local;
   local.per_rank.resize(static_cast<std::size_t>(config_.nranks));
   FieldResult result;

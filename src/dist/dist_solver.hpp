@@ -173,8 +173,7 @@ class DistSolver {
   std::vector<double> evaluate(DistStats* stats = nullptr);
 
   /// Compute potentials and fields E = -grad phi at every source particle,
-  /// sharing the cached plans. Requires a backend whose engine supports
-  /// fields (CPU).
+  /// sharing the cached plans, on either backend.
   FieldResult evaluate_field(DistStats* stats = nullptr);
 
  private:

@@ -263,11 +263,25 @@ TEST(DistLifecycle, WrapperSupportsPerTargetMacOnCpu) {
   EXPECT_LT(relative_l2_error(ref, res.potential), 1e-3);
 }
 
-TEST(DistLifecycle, GpuFieldEvaluationIsPrecise) {
-  const Cloud c = uniform_cube(500, 31);
-  DistSolver solver(base_config(2, Backend::kGpuSim));
-  solver.set_sources(c);
-  EXPECT_THROW(solver.evaluate_field(), std::invalid_argument);
+TEST(DistLifecycle, GpuFieldMatchesCpuBitwise) {
+  // Each rank's GpuSim engine runs the CPU engine's numerics over its local
+  // piece and its LET pieces: distributed fields are the CPU bits.
+  const Cloud c = uniform_cube(4000, 31);
+  DistSolver cpu(base_config(2));
+  DistSolver gpu(base_config(2, Backend::kGpuSim));
+  cpu.set_sources(c);
+  gpu.set_sources(c);
+  const FieldResult cf = cpu.evaluate_field();
+  DistStats stats;
+  const FieldResult gf = gpu.evaluate_field(&stats);
+  EXPECT_EQ(cf.phi, gf.phi);
+  EXPECT_EQ(cf.ex, gf.ex);
+  EXPECT_EQ(cf.ey, gf.ey);
+  EXPECT_EQ(cf.ez, gf.ez);
+  for (const RankStats& st : stats.per_rank) {
+    EXPECT_GT(st.modeled.compute, 0.0);
+    EXPECT_GT(st.bytes_to_host, 0u);
+  }
 }
 
 TEST(DistLifecycle, EvaluateWithoutSourcesThrows) {

@@ -8,7 +8,12 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/direct_sum.hpp"
 #include "core/fields.hpp"
@@ -122,6 +127,41 @@ TEST(DualTraversal, RepeatEvaluationIsIdentical) {
   for (std::size_t i = 0; i < phi1.size(); ++i) {
     EXPECT_DOUBLE_EQ(phi1[i], phi2[i]) << "index " << i;
   }
+}
+
+TEST(DualTraversal, SelfModeBitsDoNotDependOnThreadCount) {
+  // The symmetric near field reduces its mirror halves per source leaf in
+  // list order, in blocks fixed by the lists alone: the result is the same
+  // bits whatever the thread count and whichever thread ran which leaf. A
+  // dense Plummer core with small leaves spreads the mirror slabs over
+  // several blocks.
+  const Cloud c = plummer_sphere(12000, 24);
+  TreecodeParams params = dual_params();
+  params.max_leaf = 64;
+  params.max_batch = 64;
+  const auto run = [&](int threads) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+    Solver dual = make_solver(params, KernelSpec::coulomb());
+    dual.set_sources(c);
+    return std::make_pair(dual.evaluate(c), dual.evaluate_field(c));
+  };
+#ifdef _OPENMP
+  const int max_threads = omp_get_max_threads();
+#endif
+  const auto one = run(1);
+  const auto four = run(4);
+#ifdef _OPENMP
+  omp_set_num_threads(max_threads);
+#endif
+  EXPECT_EQ(one.first, four.first);
+  EXPECT_EQ(one.second.phi, four.second.phi);
+  EXPECT_EQ(one.second.ex, four.second.ex);
+  EXPECT_EQ(one.second.ey, four.second.ey);
+  EXPECT_EQ(one.second.ez, four.second.ez);
 }
 
 TEST(DualTraversal, UpdateChargesMatchesFreshSolverAndOracle) {

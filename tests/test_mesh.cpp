@@ -206,28 +206,42 @@ TEST_P(MeshParity, PotentialMatchesEwaldOracleOnBothEngines) {
   }
 }
 
-TEST_P(MeshParity, FieldMatchesEwaldOracleOnCpu) {
+TEST_P(MeshParity, FieldMatchesEwaldOracleOnBothEngines) {
   const TreecodeParams params = mesh_params(GetParam());
   const Cloud c = ionic_lattice(8, 5, kBox, 0.6);
   const FieldResult oracle = direct_field_ewald(c, c, params.domain);
-
-  Solver solver = make_solver(params);
-  solver.set_sources(c);
-  const FieldResult field = solver.evaluate_field(c);
-
   const double bar = error_bar(params);
-  EXPECT_LT(relative_l2_error(oracle.phi, field.phi), bar);
-  // Field components measured jointly (per-axis norms can be tiny).
-  std::vector<double> ref, got;
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    ref.push_back(oracle.ex[i]);
-    ref.push_back(oracle.ey[i]);
-    ref.push_back(oracle.ez[i]);
-    got.push_back(field.ex[i]);
-    got.push_back(field.ey[i]);
-    got.push_back(field.ez[i]);
+
+  FieldResult cpu_field;
+  for (const Backend backend : {Backend::kCpu, Backend::kGpuSim}) {
+    Solver solver = make_solver(params, backend);
+    solver.set_sources(c);
+    const FieldResult field = solver.evaluate_field(c);
+
+    EXPECT_LT(relative_l2_error(oracle.phi, field.phi), bar)
+        << "backend " << static_cast<int>(backend);
+    // Field components measured jointly (per-axis norms can be tiny).
+    std::vector<double> ref, got;
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ref.push_back(oracle.ex[i]);
+      ref.push_back(oracle.ey[i]);
+      ref.push_back(oracle.ez[i]);
+      got.push_back(field.ex[i]);
+      got.push_back(field.ey[i]);
+      got.push_back(field.ez[i]);
+    }
+    EXPECT_LT(relative_l2_error(ref, got), bar)
+        << "backend " << static_cast<int>(backend);
+    if (backend == Backend::kCpu) {
+      cpu_field = field;
+    } else {
+      // GpuSim gathers through the host mesh and runs the CPU tiles.
+      EXPECT_EQ(cpu_field.phi, field.phi);
+      EXPECT_EQ(cpu_field.ex, field.ex);
+      EXPECT_EQ(cpu_field.ey, field.ey);
+      EXPECT_EQ(cpu_field.ez, field.ez);
+    }
   }
-  EXPECT_LT(relative_l2_error(ref, got), bar);
 }
 
 INSTANTIATE_TEST_SUITE_P(Traversals, MeshParity,

@@ -255,11 +255,26 @@ TEST(SolverLifecycle, PerTargetMacStatsAreFlagged) {
   EXPECT_GT(stats.approx_interactions, 0u);
 }
 
-TEST(SolverLifecycle, GpuFieldEvaluationRejected) {
-  const Cloud c = uniform_cube(500, 18);
-  Solver solver(base_config(Backend::kGpuSim));
-  solver.set_sources(c);
-  EXPECT_THROW(solver.evaluate_field(c), std::invalid_argument);
+TEST(SolverLifecycle, GpuFieldMatchesCpuBitwise) {
+  // GpuSim runs the CPU engine's numerics under its cost model: fields and
+  // potentials from one held plan are the CPU bits.
+  const Cloud c = uniform_cube(3000, 18);
+  Solver cpu(base_config(Backend::kCpu));
+  Solver gpu(base_config(Backend::kGpuSim));
+  cpu.set_sources(c);
+  gpu.set_sources(c);
+  EXPECT_EQ(cpu.evaluate(c), gpu.evaluate(c));
+  const FieldResult cf = cpu.evaluate_field(c);
+  RunStats stats;
+  const FieldResult gf = gpu.evaluate_field(c, &stats);
+  EXPECT_EQ(cf.phi, gf.phi);
+  EXPECT_EQ(cf.ex, gf.ex);
+  EXPECT_EQ(cf.ey, gf.ey);
+  EXPECT_EQ(cf.ez, gf.ez);
+  // The field reuses the staged plan and downloads four arrays.
+  EXPECT_GT(stats.gpu_launches, 0u);
+  EXPECT_EQ(stats.bytes_to_device, 0u);
+  EXPECT_EQ(stats.bytes_to_host, 4 * c.size() * sizeof(double));
 }
 
 TEST(SolverLifecycle, WrapperMatchesHandle) {
