@@ -7,7 +7,9 @@
 // The headline metrics are `direct_interactions_per_sec` and
 // `approx_interactions_per_sec`: G(x,y) pair-evaluations per second through
 // the engine's blocked kernel core (core/cpu_kernels.hpp), measured on an
-// all-direct and an all-approx interaction pattern respectively. Results
+// all-direct and an all-approx interaction pattern respectively; the
+// `direct_yukawa_*` rows repeat the direct patterns with the Yukawa kernel,
+// whose tiles pay an exp per pair on top of the Coulomb work. Results
 // are printed as a table and written to BENCH_micro.json (override with
 // `--json out.json`, disable with `--json -`) so the perf trajectory is
 // tracked across PRs.
@@ -112,6 +114,15 @@ int main(int argc, char** argv) {
                              &counters, &ws)[0];
     });
     row("direct_interactions", sec, counters.direct_evals, "inter");
+
+    // Same pattern with the Yukawa kernel (the paper's second kernel).
+    EngineCounters ycounters;
+    const double ysec = time_call([&] {
+      g_sink += cpu_evaluate(s.tgt, s.batches, s.lists, s.tree, s.src,
+                             s.moments, KernelSpec::yukawa(0.5), nullptr,
+                             &ycounters, &ws)[0];
+    });
+    row("direct_yukawa_interactions", ysec, ycounters.direct_evals, "inter");
   }
 
   // --- Blocked approx rate (Eq. 11): far-away targets, every cluster
@@ -156,6 +167,16 @@ int main(int argc, char** argv) {
                     .ex[0];
     });
     row("direct_field_interactions", sec, counters.direct_evals, "inter");
+
+    EngineCounters ycounters;
+    const double ysec = time_call([&] {
+      g_sink += cpu_evaluate_field(s.tgt, s.batches, s.lists, s.tree, s.src,
+                                   s.moments, KernelSpec::yukawa(0.5), nullptr,
+                                   &ycounters, &ws)
+                    .ex[0];
+    });
+    row("direct_yukawa_field_interactions", ysec, ycounters.direct_evals,
+        "inter");
   }
 
   // --- Kernel evaluations (scalar dispatch form, per 1000 calls).

@@ -15,11 +15,27 @@
 //   * A single-target variant vectorizes across *sources* with a simd
 //     reduction instead — the shape the per-target MAC ablation needs.
 //   * `TileSimd` is a hook for hand-tuned ISA-specific tiles; with AVX-512
-//     the Coulomb kernel replaces vsqrt+vdiv with vrsqrt14pd refined by two
-//     Newton iterations (relative error ~1e-16, far below the treecode's
-//     interpolation error). The exact portable path remains the reference
+//     1/r comes from vrsqrt14pd refined by two Newton iterations (relative
+//     error ~1e-16, far below the treecode's interpolation error) instead
+//     of vsqrt+vdiv. The exact portable path remains the reference
 //     (`Fast = false`), and the O(N^2) oracles in direct_sum.cpp stay on
 //     their original scalar form so their results are bit-stable.
+//
+// AVX-512 tiles by (kernel, observable, tile shape); every other
+// combination runs the portable `#pragma omp simd` loops:
+//
+//   kernel    observable   fp64 full   fp64 partial   mutual   fp32 full
+//   Coulomb   potential    yes         -              yes      yes
+//   Coulomb   field        yes         -              yes      yes
+//   Yukawa    potential    yes         yes            -        -
+//   Yukawa    field        yes         yes            -        -
+//   erfc      potential    yes         -              -        -
+//   erfc      field        yes         -              -        -
+//
+// "Partial" is 1 < nt < kTargetTile through lane masks; nt == 1 always
+// takes the single-target source-vectorized path. Yukawa's e^{-kr} comes
+// from a degree-13 vector exp (rounding-level accurate), erfc's Gaussian
+// from the degree-7 one (~7e-9, below its A&S 1.5e-7 floor).
 //
 // One templated driver (`cpu_kernels.cpp`) executes interaction lists
 // through these tiles for all four host paths: {potential, field} x
@@ -29,6 +45,7 @@
 // under guided scheduling so the parallel tail is made of cheap lists.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -191,6 +208,8 @@ class CpuWorkspace {
 /// ISA-specific tile kernels. The primary template reports "none"; opt-in
 /// specializations provide `run(...)` for one (Field, kernel functor) pair
 /// and are selected only on full tiles with `Fast = true` (treecode paths).
+/// A specialization that provides `run_masked(..., nt, ...)` instead takes
+/// every tile with 1 < nt <= kTargetTile, cutting off lanes past nt.
 template <bool Field, typename K>
 struct TileSimd {
   static constexpr bool kAvailable = false;
@@ -257,11 +276,27 @@ inline void flush_ps_to_pd(__m512 v, __m512d& lo, __m512d& hi) {
               _mm512_extractf64x4_pd(_mm512_castps_pd(v), 1))));
 }
 
+/// Taylor coefficients 1/k!, k = 0..Degree, of the exp polynomial below.
+template <int Degree>
+constexpr std::array<double, Degree + 1> exp_taylor_coefficients() {
+  std::array<double, Degree + 1> c{};
+  double factorial = 1.0;
+  for (int k = 0; k <= Degree; ++k) {
+    if (k > 1) factorial *= k;
+    c[static_cast<std::size_t>(k)] = 1.0 / factorial;
+  }
+  return c;
+}
+
 /// Vector e^x: Cody-Waite range reduction against a split ln2 plus a
-/// degree-6 polynomial on [-ln2/2, ln2/2], scaled by 2^n through the
-/// exponent field. Inputs are clamped to +-700, so the scaling never
-/// overflows; accuracy ~1e-13 relative across the clamp range.
+/// degree-`Degree` Taylor polynomial on [-ln2/2, ln2/2], scaled by 2^n
+/// through the exponent field. Inputs are clamped to +-700, so the scaling
+/// never overflows (below -700 the result is e^-700 ~ 1e-304, not 0). The
+/// truncation term (ln2/2)^(Degree+1)/(Degree+1)! sets the accuracy:
+/// ~7e-9 relative at degree 7, rounding level (~2e-16) at degree 13.
+template <int Degree>
 inline __m512d exp_pd(__m512d x) {
+  static constexpr auto kCoef = exp_taylor_coefficients<Degree>();
   const __m512d log2e = _mm512_set1_pd(1.4426950408889634);
   const __m512d ln2_hi = _mm512_set1_pd(6.93147180369123816490e-1);
   const __m512d ln2_lo = _mm512_set1_pd(1.90821492927058770002e-10);
@@ -271,14 +306,10 @@ inline __m512d exp_pd(__m512d x) {
       _mm512_mul_pd(x, log2e), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   __m512d r = _mm512_fnmadd_pd(n, ln2_hi, x);
   r = _mm512_fnmadd_pd(n, ln2_lo, r);
-  __m512d p = _mm512_set1_pd(1.0 / 5040.0);
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 720.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 120.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 24.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 6.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(0.5));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0));
+  __m512d p = _mm512_set1_pd(kCoef[Degree]);
+  for (std::size_t k = Degree; k-- > 0;) {
+    p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(kCoef[k]));
+  }
   // 2^n via exponent bits: n is integral and |n| <= 1011 after the clamp,
   // so it fits epi32 (cvtpd_epi64 would need AVX-512DQ).
   const __m512i biased = _mm512_add_epi64(
@@ -287,6 +318,13 @@ inline __m512d exp_pd(__m512d x) {
       _mm512_castsi512_pd(_mm512_slli_epi64(biased, 52));
   return _mm512_mul_pd(p, scale);
 }
+
+/// The erfc tile's exp: degree 7 (~7e-9 relative) sits far below the A&S
+/// 7.1.26 floor of 1.5e-7 it multiplies.
+inline constexpr int kExpDegreeErfc = 7;
+/// The Yukawa tiles' exp: degree 13, full double precision, so Yukawa
+/// results stay at rounding distance from the libm path.
+inline constexpr int kExpDegreeFull = 13;
 
 /// erfc(x) e^{-x^2} fused tile helper for x >= 0: Abramowitz-Stegun 7.1.26
 /// (|abs err| < 1.5e-7, far below the kPeriodicMesh split tolerance) with
@@ -301,10 +339,104 @@ inline void erfc_gauss_pd(__m512d x, __m512d& erfc_out, __m512d& gauss_out) {
   p = _mm512_fmadd_pd(p, t, _mm512_set1_pd(1.421413741));
   p = _mm512_fmadd_pd(p, t, _mm512_set1_pd(-0.284496736));
   p = _mm512_fmadd_pd(p, t, _mm512_set1_pd(0.254829592));
-  const __m512d gauss =
-      exp_pd(_mm512_sub_pd(_mm512_setzero_pd(), _mm512_mul_pd(x, x)));
+  const __m512d gauss = exp_pd<kExpDegreeErfc>(
+      _mm512_sub_pd(_mm512_setzero_pd(), _mm512_mul_pd(x, x)));
   erfc_out = _mm512_mul_pd(_mm512_mul_pd(p, t), gauss);
   gauss_out = gauss;
+}
+
+/// One 8-target half of a Yukawa tile: target coordinates and accumulators.
+/// Lanes outside `mask` load zero coordinates and are never stored, so a
+/// partial tile (nt < kTargetTile) runs the same loop as a full one.
+struct YukawaLanes {
+  __m512d tx, ty, tz;
+  __m512d p = _mm512_setzero_pd(), ex = _mm512_setzero_pd(),
+          ey = _mm512_setzero_pd(), ez = _mm512_setzero_pd();
+
+  YukawaLanes(const double* x, const double* y, const double* z,
+              __mmask8 mask)
+      : tx(_mm512_maskz_loadu_pd(mask, x)),
+        ty(_mm512_maskz_loadu_pd(mask, y)),
+        tz(_mm512_maskz_loadu_pd(mask, z)) {}
+
+  /// One source point: g = e^{-kr}/r with 1/r from the masked rsqrt and
+  /// r = r^2 (1/r); fields add w d with w = q g (kr + 1)/r^2 (slope =
+  /// -g(kr + 1)/r^2, E = -slope d q). Coincident lanes have 1/r = 0, hence
+  /// g = w = 0 — the singular skip.
+  template <bool Field>
+  void step(__m512d xj, __m512d yj, __m512d zj, __m512d qj, __m512d kappa) {
+    const __m512d zero = _mm512_setzero_pd();
+    const __m512d dx = _mm512_sub_pd(tx, xj);
+    const __m512d dy = _mm512_sub_pd(ty, yj);
+    const __m512d dz = _mm512_sub_pd(tz, zj);
+    const __m512d r2 = _mm512_fmadd_pd(
+        dx, dx, _mm512_fmadd_pd(dy, dy, _mm512_mul_pd(dz, dz)));
+    const __m512d inv =
+        masked_rsqrt_nr2(r2, _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ));
+    const __m512d kr = _mm512_mul_pd(kappa, _mm512_mul_pd(r2, inv));
+    const __m512d g =
+        _mm512_mul_pd(exp_pd<kExpDegreeFull>(_mm512_sub_pd(zero, kr)), inv);
+    p = _mm512_fmadd_pd(g, qj, p);
+    if constexpr (Field) {
+      const __m512d w = _mm512_mul_pd(
+          _mm512_mul_pd(g, _mm512_add_pd(kr, _mm512_set1_pd(1.0))),
+          _mm512_mul_pd(_mm512_mul_pd(inv, inv), qj));
+      ex = _mm512_fmadd_pd(w, dx, ex);
+      ey = _mm512_fmadd_pd(w, dy, ey);
+      ez = _mm512_fmadd_pd(w, dz, ez);
+    }
+  }
+
+  template <bool Field>
+  void store(double* phi, double* fx, double* fy, double* fz,
+             __mmask8 mask) const {
+    const auto add = [mask](double* out, __m512d acc) {
+      _mm512_mask_storeu_pd(
+          out, mask, _mm512_add_pd(_mm512_maskz_loadu_pd(mask, out), acc));
+    };
+    add(phi, p);
+    if constexpr (Field) {
+      add(fx, ex);
+      add(fy, ey);
+      add(fz, ez);
+    }
+  }
+};
+
+/// Yukawa tile of nt in [1, kTargetTile] targets: one YukawaLanes half for
+/// nt <= 8, two otherwise; lane masks cut off the targets past nt.
+template <bool Field>
+inline void yukawa_tile(const double* tx, const double* ty, const double* tz,
+                        std::size_t nt, const double* sx, const double* sy,
+                        const double* sz, const double* sq, std::size_t ns,
+                        double kappa, double* phi, double* ex, double* ey,
+                        double* ez) {
+  const auto lane_mask = [](std::size_t n) {
+    return static_cast<__mmask8>(n >= 8 ? 0xFFu : (1u << n) - 1u);
+  };
+  const __m512d vk = _mm512_set1_pd(kappa);
+  const __mmask8 m0 = lane_mask(nt);
+  YukawaLanes lo(tx, ty, tz, m0);
+  if (nt <= 8) {
+    for (std::size_t j = 0; j < ns; ++j) {
+      lo.step<Field>(_mm512_set1_pd(sx[j]), _mm512_set1_pd(sy[j]),
+                     _mm512_set1_pd(sz[j]), _mm512_set1_pd(sq[j]), vk);
+    }
+    lo.store<Field>(phi, ex, ey, ez, m0);
+    return;
+  }
+  const __mmask8 m1 = lane_mask(nt - 8);
+  YukawaLanes hi(tx + 8, ty + 8, tz + 8, m1);
+  for (std::size_t j = 0; j < ns; ++j) {
+    const __m512d xj = _mm512_set1_pd(sx[j]);
+    const __m512d yj = _mm512_set1_pd(sy[j]);
+    const __m512d zj = _mm512_set1_pd(sz[j]);
+    const __m512d qj = _mm512_set1_pd(sq[j]);
+    lo.step<Field>(xj, yj, zj, qj, vk);
+    hi.step<Field>(xj, yj, zj, qj, vk);
+  }
+  lo.store<Field>(phi, ex, ey, ez, m0);
+  hi.store<Field>(phi + 8, ex + 8, ey + 8, ez + 8, m1);
 }
 
 }  // namespace detail
@@ -547,6 +679,38 @@ struct TileSimd<true, CoulombErfcGradKernel> {
     _mm512_storeu_pd(ey + 8, _mm512_add_pd(_mm512_loadu_pd(ey + 8), y1));
     _mm512_storeu_pd(ez, _mm512_add_pd(_mm512_loadu_pd(ez), z0));
     _mm512_storeu_pd(ez + 8, _mm512_add_pd(_mm512_loadu_pd(ez + 8), z1));
+  }
+};
+
+/// Yukawa potential tile: e^{-kr} from the full-precision vector exp, so
+/// the whole pair stays in registers (the portable path pays a scalar libm
+/// exp per pair).
+template <>
+struct TileSimd<false, YukawaKernel> {
+  static constexpr bool kAvailable = true;
+
+  static void run_masked(const double* tx, const double* ty, const double* tz,
+                         std::size_t nt, const double* sx, const double* sy,
+                         const double* sz, const double* sq, std::size_t ns,
+                         YukawaKernel k, double* phi, double*, double*,
+                         double*) {
+    detail::yukawa_tile<false>(tx, ty, tz, nt, sx, sy, sz, sq, ns, k.kappa,
+                               phi, nullptr, nullptr, nullptr);
+  }
+};
+
+/// Yukawa potential+field tile: slope = -g(kr + 1)/r^2 from the same g.
+template <>
+struct TileSimd<true, YukawaGradKernel> {
+  static constexpr bool kAvailable = true;
+
+  static void run_masked(const double* tx, const double* ty, const double* tz,
+                         std::size_t nt, const double* sx, const double* sy,
+                         const double* sz, const double* sq, std::size_t ns,
+                         YukawaGradKernel k, double* phi, double* ex,
+                         double* ey, double* ez) {
+    detail::yukawa_tile<true>(tx, ty, tz, nt, sx, sy, sz, sq, ns, k.kappa,
+                              phi, ex, ey, ez);
   }
 };
 
@@ -836,7 +1000,13 @@ inline void accumulate_tile(const double* __restrict tx,
                             double* __restrict phi, double* __restrict ex,
                             double* __restrict ey, double* __restrict ez) {
   if constexpr (Fast && TileSimd<Field, K>::kAvailable) {
-    if (nt == kTargetTile) {
+    if constexpr (requires { TileSimd<Field, K>::run_masked; }) {
+      if (nt > 1) {
+        TileSimd<Field, K>::run_masked(tx, ty, tz, nt, sx, sy, sz, sq, ns, k,
+                                       phi, ex, ey, ez);
+        return;
+      }
+    } else if (nt == kTargetTile) {
       TileSimd<Field, K>::run(tx, ty, tz, sx, sy, sz, sq, ns, k, phi, ex, ey,
                               ez);
       return;

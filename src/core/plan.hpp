@@ -238,7 +238,9 @@ struct SourcePlanState {
                         PositionUpdate& out);
 
   std::size_t size() const { return particles.size(); }
-  SourcePlan view() const { return {&particles, &tree, nullptr}; }
+  SourcePlan view() const {
+    return {&particles, &tree, nullptr, {}, nullptr};
+  }
 };
 
 /// Owning storage behind `TargetPlan`: target batching plus the interaction

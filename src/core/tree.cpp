@@ -173,17 +173,27 @@ ClusterTree ClusterTree::build(OrderedParticles& particles,
   }
 
   // Record the tight boxes and, with slack, fatten every box by half the
-  // slack fraction of its tight longest extent per side. Padding is
-  // monotone down the tree (a parent's tight box contains its children's,
-  // so its pad is at least theirs), which preserves nesting: a particle
-  // inside its leaf's fat box is inside every ancestor's fat box too. The
-  // MAC geometry (center, radius) follows the fat box so interaction lists
-  // built over it stay admissible for any particle positions within the
-  // fat leaves.
-  for (ClusterNode& node : tree.nodes_) {
+  // slack fraction of its tight longest extent per side. A zero-extent node
+  // (a leaf holding one particle, or coincident particles) takes the pad of
+  // its nearest ancestor with positive extent instead, so its particles can
+  // move at all without leaving the leaf. Padding is monotone down the tree
+  // (a parent's tight box contains its children's, so its pad is at least
+  // theirs, and an inherited pad equals the parent's), which preserves
+  // nesting: a particle inside its leaf's fat box is inside every
+  // ancestor's fat box too. The MAC geometry (center, radius) follows the
+  // fat box so interaction lists built over it stay admissible for any
+  // particle positions within the fat leaves. Parents precede their
+  // children in nodes_, so each parent's pad is final when a child reads it.
+  std::vector<double> pads(tree.nodes_.size(), 0.0);
+  for (std::size_t ni = 0; ni < tree.nodes_.size(); ++ni) {
+    ClusterNode& node = tree.nodes_[ni];
     node.tight_box = node.box;
     if (params.slack <= 0.0 || !node.box.valid()) continue;
-    const double pad = 0.5 * params.slack * node.tight_box.longest();
+    double pad = 0.5 * params.slack * node.tight_box.longest();
+    if (pad <= 0.0 && node.parent >= 0) {
+      pad = pads[static_cast<std::size_t>(node.parent)];
+    }
+    pads[ni] = pad;
     if (pad <= 0.0) continue;
     for (std::size_t d = 0; d < 3; ++d) {
       node.box.lo[d] -= pad;

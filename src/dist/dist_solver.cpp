@@ -326,7 +326,7 @@ void DistSolver::plan(const Cloud& cloud) {
     // addresses are stable until the next full plan.
     for (const RankState::Remote& rem : s.remotes) {
       s.pieces.push_back(LetPiece{
-          SourcePlan{&rem.particles, &rem.tree, &rem.moments},
+          SourcePlan{&rem.particles, &rem.tree, &rem.moments, {}, nullptr},
           rem.fetched_particles});
     }
     s.engine->attach_let_pieces(s.pieces, tc, /*charges_only=*/false);

@@ -5,12 +5,17 @@
 // ~1e-12 relative error. The geometry is chosen adversarially: batch sizes
 // that are not a multiple of the tile width (edge tiles), single-target
 // lists (the nt == 1 path), coincident targets and sources (the singular
-// skip convention), and duplicated source points.
+// skip convention), and duplicated source points. Below the list drivers,
+// the AVX-512 vector exp helpers are checked against std::exp, and the
+// Yukawa tiles (full and lane-masked partial) against both the portable
+// `Fast = false` tile and the scalar reference at every tile width.
 #include "core/cpu_kernels.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/batches.hpp"
@@ -213,6 +218,140 @@ TEST(CpuKernels, ParitySingleTargetLists) {
   const Cloud sources = uniform_cube(300, 15);
   const EvalPlan s(targets, sources, 0.7, 3, 50, 1);
   for (const KernelSpec& spec : all_kernels()) check_all_paths(s, spec);
+}
+
+#if defined(__AVX512F__)
+static_assert(TileSimd<false, YukawaKernel>::kAvailable);
+static_assert(TileSimd<true, YukawaGradKernel>::kAvailable);
+
+/// Largest relative error of detail::exp_pd<Degree> against std::exp over
+/// [-700, 0]: a dense sweep plus the reduction boundaries (n ln2 +- ln2/2).
+template <int Degree>
+double max_exp_rel_error() {
+  std::vector<double> xs;
+  for (int i = 0; i <= 200000; ++i) xs.push_back(-700.0 * i / 200000.0);
+  for (int n = -1009; n <= 0; ++n) {
+    const double mid = n * 0.6931471805599453;
+    xs.push_back(std::min(0.0, mid + 0.34657359027997264));
+    xs.push_back(std::max(-700.0, mid - 0.34657359027997264));
+  }
+  while (xs.size() % 8 != 0) xs.push_back(0.0);
+  double worst = 0.0;
+  alignas(64) double out[8];
+  for (std::size_t i = 0; i < xs.size(); i += 8) {
+    _mm512_store_pd(out, detail::exp_pd<Degree>(_mm512_loadu_pd(&xs[i])));
+    for (std::size_t l = 0; l < 8; ++l) {
+      const double want = std::exp(xs[i + l]);
+      worst = std::max(worst, std::fabs(out[l] - want) / want);
+    }
+  }
+  return worst;
+}
+#endif
+
+TEST(CpuKernels, VectorExpAccuracy) {
+#if defined(__AVX512F__)
+  EXPECT_LE(max_exp_rel_error<detail::kExpDegreeFull>(), 1e-15);
+  EXPECT_LE(max_exp_rel_error<detail::kExpDegreeErfc>(), 1e-8);
+#else
+  GTEST_SKIP() << "built without __AVX512F__: no vector exp helpers";
+#endif
+}
+
+/// One Yukawa tile configuration: n targets (several sit exactly on source
+/// points) against a source stream with a duplicated point.
+struct YukawaTileCase {
+  std::vector<double> tx, ty, tz, sx, sy, sz, sq;
+
+  explicit YukawaTileCase(std::size_t n) {
+    const Cloud src = uniform_cube(301, 21);
+    sx = src.x;
+    sy = src.y;
+    sz = src.z;
+    sq = src.q;
+    sx[7] = sx[3];
+    sy[7] = sy[3];
+    sz[7] = sz[3];
+    const Cloud tgt = uniform_cube(n, 22 + n);
+    tx = tgt.x;
+    ty = tgt.y;
+    tz = tgt.z;
+    for (std::size_t t = 0; t < n; t += 3) {
+      tx[t] = sx[(3 * t + 3) % sx.size()];
+      ty[t] = sy[(3 * t + 3) % sx.size()];
+      tz[t] = sz[(3 * t + 3) % sx.size()];
+    }
+  }
+
+  /// Run accumulate_tile over the targets in kTargetTile chunks, the way
+  /// the list drivers do.
+  template <bool Field, bool Fast, typename K>
+  RefResult run(K k) const {
+    const std::size_t n = tx.size();
+    RefResult r{std::vector<double>(n), std::vector<double>(n),
+                std::vector<double>(n), std::vector<double>(n)};
+    for (std::size_t t0 = 0; t0 < n; t0 += kTargetTile) {
+      const std::size_t nt = std::min(kTargetTile, n - t0);
+      accumulate_tile<Field, Fast>(&tx[t0], &ty[t0], &tz[t0], nt, sx.data(),
+                                   sy.data(), sz.data(), sq.data(), sx.size(),
+                                   k, &r.phi[t0], &r.ex[t0], &r.ey[t0],
+                                   &r.ez[t0]);
+    }
+    return r;
+  }
+};
+
+TEST(CpuKernels, YukawaTilesEveryTargetCount) {
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 1; n <= 17; ++n) counts.push_back(n);
+  counts.push_back(48);
+  for (const double kappa : {0.5, 8.0}) {
+    const KernelSpec spec = KernelSpec::yukawa(kappa);
+    for (const std::size_t n : counts) {
+      const YukawaTileCase c(n);
+      const RefResult pot_fast = c.run<false, true>(YukawaKernel{kappa});
+      const RefResult pot_exact = c.run<false, false>(YukawaKernel{kappa});
+      const RefResult fld_fast = c.run<true, true>(YukawaGradKernel{kappa});
+      const RefResult fld_exact = c.run<true, false>(YukawaGradKernel{kappa});
+      for (std::size_t t = 0; t < n; ++t) {
+        // Scalar reference, plus the sums of |contribution| that scale the
+        // relative comparison against the portable path.
+        double phi = 0.0, e[3] = {0.0, 0.0, 0.0};
+        double phi_abs = 0.0, e_abs = 0.0;
+        for (std::size_t j = 0; j < c.sx.size(); ++j) {
+          double g3[3];
+          const double g = evaluate_kernel_gradient(
+              spec, c.tx[t], c.ty[t], c.tz[t], c.sx[j], c.sy[j], c.sz[j], g3);
+          phi += g * c.sq[j];
+          phi_abs += std::fabs(g * c.sq[j]);
+          for (int d = 0; d < 3; ++d) {
+            e[d] -= g3[d] * c.sq[j];
+            e_abs += std::fabs(g3[d] * c.sq[j]);
+          }
+        }
+        const std::string where = "kappa=" + std::to_string(kappa) +
+                                  " n=" + std::to_string(n) +
+                                  " t=" + std::to_string(t);
+        const double tol_phi = 1e-13 * phi_abs;
+        const double tol_e = 1e-13 * e_abs;
+        EXPECT_NEAR(pot_fast.phi[t], pot_exact.phi[t], tol_phi) << where;
+        EXPECT_NEAR(fld_fast.phi[t], fld_exact.phi[t], tol_phi) << where;
+        EXPECT_NEAR(fld_fast.ex[t], fld_exact.ex[t], tol_e) << where;
+        EXPECT_NEAR(fld_fast.ey[t], fld_exact.ey[t], tol_e) << where;
+        EXPECT_NEAR(fld_fast.ez[t], fld_exact.ez[t], tol_e) << where;
+        EXPECT_NEAR(pot_fast.phi[t], phi, kTol * (1.0 + std::fabs(phi)))
+            << where;
+        EXPECT_NEAR(fld_fast.phi[t], phi, kTol * (1.0 + std::fabs(phi)))
+            << where;
+        EXPECT_NEAR(fld_fast.ex[t], e[0], kTol * (1.0 + std::fabs(e[0])))
+            << where;
+        EXPECT_NEAR(fld_fast.ey[t], e[1], kTol * (1.0 + std::fabs(e[1])))
+            << where;
+        EXPECT_NEAR(fld_fast.ez[t], e[2], kTol * (1.0 + std::fabs(e[2])))
+            << where;
+      }
+    }
+  }
 }
 
 TEST(CpuKernels, WorkspaceReuseIsDeterministic) {

@@ -17,6 +17,8 @@
 
 #include "core/direct_sum.hpp"
 #include "core/moments.hpp"
+#include "core/plan.hpp"
+#include "core/precision.hpp"
 #include "core/solver.hpp"
 #include "core/tree.hpp"
 #include "dist/dist_solver.hpp"
@@ -113,6 +115,53 @@ TEST(Incremental, SmallDisplacementUpdateStaysTreecodeAccurate) {
     EXPECT_LT(relative_l2_error(phi_full, phi), 1e-4);
   }
   EXPECT_TRUE(saw_incremental);
+}
+
+TEST(Incremental, SingletonLeafTakesItsAncestorsPad) {
+  // A lone particle far outside a uniform cube lands in a leaf of its own:
+  // zero extent, so its fat box would have zero pad and any move of that
+  // particle would force a full replan. It borrows the pad of its nearest
+  // ancestor with positive extent instead.
+  Cloud start = uniform_cube(3000, 51);
+  start.x.push_back(3.0);
+  start.y.push_back(3.0);
+  start.z.push_back(3.0);
+  start.q.push_back(0.5);
+  TreecodeParams params = base_params();
+  params.position_slack = 0.1;
+
+  SourcePlanState plan = SourcePlanState::build(start, params);
+  int singleton = -1;
+  for (std::size_t ni = 0; ni < plan.tree.num_nodes(); ++ni) {
+    const ClusterNode& node = plan.tree.node(static_cast<int>(ni));
+    if (node.is_leaf() && node.count() == 1) singleton = static_cast<int>(ni);
+  }
+  ASSERT_GE(singleton, 0);
+  const ClusterNode& leaf = plan.tree.node(singleton);
+  const double pad = leaf.tight_box.lo[0] - leaf.box.lo[0];
+  EXPECT_GT(pad, 0.0);
+  EXPECT_EQ(pad, plan.tree.node(leaf.parent).tight_box.lo[0] -
+                     plan.tree.node(leaf.parent).box.lo[0]);
+
+  // Drift everything, the lone particle by far more than the others but
+  // less than its pad.
+  Cloud moved = jitter(start, 1e-4, 52);
+  moved.x.back() += 0.5 * pad;
+  moved.y.back() -= 0.5 * pad;
+  PositionUpdate delta;
+  EXPECT_TRUE(plan.update_positions(moved, params, delta));
+  EXPECT_EQ(delta.rebucketed, 0u);
+
+  Solver solver(config_with(params));
+  solver.set_sources(start);
+  (void)solver.evaluate(start);
+  solver.update_positions(moved);
+  RunStats stats;
+  const auto phi = solver.evaluate(moved, &stats);
+  EXPECT_TRUE(stats.incremental_update);
+  const auto ref = direct_sum(moved, moved, KernelSpec::coulomb());
+  EXPECT_LT(relative_l2_error(ref, phi),
+            nominal_error_bound(params.theta, params.degree));
 }
 
 TEST(Incremental, UpdateRebuildsOnlyDirtyClustersAndReusesLists) {
